@@ -9,10 +9,9 @@ to 64 ranks.  Shape: monotonically decreasing efficiency, still high at
 moderate rank counts.
 
 Iterations run on the unified execution engine's ``ThreadBackend``
-(``repro.core.engine``); a comparison block pins the Sec. 3.3 load-balancing
-choice — contiguous 1/N_p vs weight-balanced eloc partition at fixed seed,
-and a process-backend block measures the fork-rank path over the typed
-shared-memory + codec comm layer.
+(``repro.core.engine``); each rank computes E_loc and the backward pass on
+its own BAS samples (Fig. 4's data locality).  A process-backend block
+measures the fork-rank path over the typed shared-memory + codec comm layer.
 
 CI smoke: ``python benchmarks/bench_fig11_strong_scaling.py --smoke``
 measures 2-rank process-backend strong scaling with the typed/compressed
@@ -62,8 +61,8 @@ def test_fig11_strong_scaling(benchmark, full):
     eff = parallel_efficiency(points, mode="strong")
     rows = [
         [p.n_ranks, p.n_unique, f"{p.time_per_iter:.3f}", f"{p.time_sampling:.3f}",
-         f"{p.time_local_energy:.3f}", f"{p.time_gradient:.3f}",
-         f"{100 * e:.1f}%"]
+         f"{p.time_table:.3f}", f"{p.time_local_energy:.3f}",
+         f"{p.time_gradient:.3f}", f"{100 * e:.1f}%"]
         for p, e in zip(points, eff)
     ]
     model = model_scaling(points[0], [4, 8, 16, 32, 64], prob.n_qubits,
@@ -71,8 +70,9 @@ def test_fig11_strong_scaling(benchmark, full):
     eff_m = parallel_efficiency([points[0]] + model, mode="strong")[1:]
     for p, e in zip(model, eff_m):
         rows.append([f"{p.n_ranks}*", p.n_unique, f"{p.time_per_iter:.3f}",
-                     f"{p.time_sampling:.3f}", f"{p.time_local_energy:.3f}",
-                     f"{p.time_gradient:.3f}", f"{100 * e:.1f}%"])
+                     f"{p.time_sampling:.3f}", f"{p.time_table:.3f}",
+                     f"{p.time_local_energy:.3f}", f"{p.time_gradient:.3f}",
+                     f"{100 * e:.1f}%"])
     # Paper-scale model: a base point shaped like the paper's 4-GPU benzene
     # iteration (~250 s, stage split from the Fig. 11 stacked bars).
     from repro.parallel import ScalingPoint
@@ -88,13 +88,13 @@ def test_fig11_strong_scaling(benchmark, full):
     paper_ref = {8: 99.2, 16: 96.7, 32: 84.1, 64: 67.7}
     for p, e in zip(paper_model, eff_p):
         rows.append([f"{p.n_ranks}^", p.n_unique, f"{p.time_per_iter:.1f}",
-                     f"{p.time_sampling:.1f}", f"{p.time_local_energy:.1f}",
+                     f"{p.time_sampling:.1f}", "-", f"{p.time_local_energy:.1f}",
                      f"{p.time_gradient:.1f}",
                      f"{100 * e:.1f}% (paper {paper_ref[p.n_ranks]}%)"])
     table = format_table(
         "Fig. 11 — Strong scaling (fixed N_s), measured + model (*)",
-        ["ranks", "N_u", "t/iter (s)", "t_sample", "t_eloc", "t_grad",
-         "efficiency"],
+        ["ranks", "N_u", "t/iter (s)", "t_sample", "t_table", "t_eloc",
+         "t_grad", "efficiency"],
         rows,
         notes=(
             f"Measured: thread ranks on this host (N2/STO-3G, N_s={_NS}); "
@@ -112,31 +112,6 @@ def test_fig11_strong_scaling(benchmark, full):
         width=56, height=12,
         title="Fig. 11 — strong-scaling parallel efficiency vs ranks",
         xlabel="ranks", ylabel="%",
-    )
-    # Sec. 3.3 load balancing: contiguous 1/N_p vs weight-balanced eloc
-    # partition of the same seeded 2-rank iteration (identical estimator,
-    # different per-rank chunk loads and therefore different stage time).
-    from repro.core.vmc import VMC
-    from repro.parallel import ThreadBackend
-
-    cmp_rows = []
-    for mode in ("contiguous", "balanced"):
-        driver = VMC(
-            _wf_factory(prob)(), comp,
-            VMCConfig(n_samples=_NS, eloc_mode="sample_aware", seed=15),
-            backend=ThreadBackend(n_ranks=2, nu_star_per_rank=32,
-                                  eloc_partition=mode),
-        )
-        driver.step()  # warmup
-        s = driver.step()
-        cmp_rows.append([mode, s.n_unique, f"{s.energy:+.6f}",
-                         f"{s.time_local_energy:.3f}", f"{s.wall_time:.3f}"])
-    cmp_table = format_table(
-        "Eloc partition comparison (2 thread ranks, fixed seed)",
-        ["partition", "N_u", "energy", "t_eloc (s)", "t/iter (s)"],
-        cmp_rows,
-        notes="Same global unique set and estimator; the weight-balanced "
-              "cuts (Sec. 3.3) equalize per-rank sample weight.",
     )
     # Process-backend rows: fork ranks over the typed shm + codec comm layer
     # (true core parallelism even for GIL-bound stages).
@@ -163,9 +138,11 @@ def test_fig11_strong_scaling(benchmark, full):
               "stage-2 payloads.",
     )
     registry.record("fig11_strong_scaling",
-                    table + "\n\n" + chart + "\n\n" + cmp_table
-                    + "\n\n" + proc_table)
+                    table + "\n\n" + chart + "\n\n" + proc_table)
     # Timed kernel: one 2-rank engine iteration.
+    from repro.core.vmc import VMC
+    from repro.parallel import ThreadBackend
+
     driver = VMC(
         _wf_factory(prob)(), comp,
         VMCConfig(n_samples=_NS, eloc_mode="sample_aware", seed=15),

@@ -2,8 +2,8 @@
 """Data-centric parallel VMC (Fig. 4): engine backends, timings, comm volume.
 
 Runs the unified execution engine's staged iteration on thread ranks and
-prints, per rank count: wall time, the sampling / local-energy / gradient
-stage decomposition (the Fig. 11 profile), measured communication bytes, and
+prints, per rank count: wall time, the sampling / forward+table /
+local-energy / backward stage decomposition (the Fig. 11 profile), measured communication bytes, and
 the closed-form Sec. 3.2 volume for comparison.
 
 The same configuration is one spec away from the CLI front door:
@@ -30,10 +30,6 @@ def main() -> None:
     ap.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 4])
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--iters", type=int, default=3)
-    ap.add_argument("--eloc-partition", default="balanced",
-                    choices=["balanced", "contiguous"],
-                    help="Sec. 3.3 weight-balanced eloc chunking (default) "
-                         "or the naive contiguous 1/N_p split")
     args = ap.parse_args()
 
     prob = build_problem(args.molecule, "sto-3g")
@@ -42,8 +38,9 @@ def main() -> None:
           f"{prob.hamiltonian.n_terms} Pauli strings "
           f"({comp.n_groups} unique flip masks)")
     print()
-    print("ranks  t/iter(s)  t_sample  t_eloc  t_grad  N_u     comm(MB)  model(MB)")
-    print("-" * 76)
+    print("ranks  t/iter(s)  t_sample  t_table  t_eloc  t_grad  N_u     "
+          "comm(MB)  model(MB)")
+    print("-" * 85)
     for n_ranks in args.ranks:
         wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=13)
         pretrain_to_reference(wf, prob.hf_bits, n_steps=60, target_prob=0.2)
@@ -51,8 +48,7 @@ def main() -> None:
             wf, comp,
             VMCConfig(n_samples=args.samples, eloc_mode="sample_aware",
                       seed=14),
-            backend=ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=32,
-                                  eloc_partition=args.eloc_partition),
+            backend=ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=32),
         )
         driver.step()  # warmup
         stats = [driver.step() for _ in range(args.iters)]
@@ -61,6 +57,7 @@ def main() -> None:
                                 wf.num_parameters())
         wall = sum(x.wall_time for x in stats) / len(stats)
         print(f"{n_ranks:5d}  {wall:9.3f}  {s.time_sampling:8.3f}  "
+              f"{s.time_table:7.3f}  "
               f"{s.time_local_energy:6.3f}  {s.time_gradient:6.3f}  "
               f"{s.n_unique:6d}  {s.comm_bytes / 1e6:8.1f}  "
               f"{model.total_bytes / 1e6:9.1f}")

@@ -165,29 +165,24 @@ def build_serial_backend(n_ranks: int = 1, **params):
 
 @register_backend("threads")
 def build_thread_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
-                         eloc_partition: str = "balanced",
                          comm_codec: bool = True, comm_shm: bool = True):
     """FakeMPI thread ranks — the Fig. 4 data-parallel iteration in-process."""
     return ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                         eloc_partition=eloc_partition,
                          comm_codec=comm_codec, comm_shm=comm_shm)
 
 
 @register_backend("process")
 def build_process_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
-                          eloc_partition: str = "balanced",
                           comm_codec: bool = True, comm_shm: bool = True,
                           timeout: float = 600.0, join_timeout: float = 10.0):
     """Forked OS-process ranks (fork start method; Linux)."""
     return ProcessBackend(n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                          eloc_partition=eloc_partition,
                           comm_codec=comm_codec, comm_shm=comm_shm,
                           timeout=timeout, join_timeout=join_timeout)
 
 
 @register_backend("cluster")
 def build_cluster_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
-                          eloc_partition: str = "balanced",
                           comm_codec: bool = True, comm_shm: bool = True,
                           rendezvous_addr: str | None = None,
                           rank: int | None = None,
@@ -212,8 +207,8 @@ def build_cluster_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
             )
     return ClusterBackend(
         n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-        eloc_partition=eloc_partition, comm_codec=comm_codec,
-        comm_shm=comm_shm, rendezvous_addr=rendezvous_addr, rank=rank,
+        comm_codec=comm_codec, comm_shm=comm_shm,
+        rendezvous_addr=rendezvous_addr, rank=rank,
         join_timeout=join_timeout, collective_timeout=collective_timeout,
     )
 

@@ -189,8 +189,7 @@ def _print_run_info(run_dir: Path) -> int:
     print(f"ansatz   {spec.ansatz.name}  optimizer {spec.optimizer.name}  "
           f"sampler {spec.sampling.sampler}")
     if spec.parallel.backend != "serial" or spec.parallel.n_ranks > 1:
-        print(f"parallel {spec.parallel.backend} x {spec.parallel.n_ranks} "
-              f"({spec.parallel.eloc_partition} eloc partition)")
+        print(f"parallel {spec.parallel.backend} x {spec.parallel.n_ranks}")
     metrics_path = run_dir / driver.METRICS_FILE
     if metrics_path.exists():
         rows = [json.loads(line) for line in metrics_path.read_text().splitlines()]

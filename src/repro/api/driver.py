@@ -199,7 +199,6 @@ def materialize_backend(spec: RunSpec):
     n_ranks = p.n_ranks
     kwargs = {
         "nu_star_per_rank": p.nu_star_per_rank,
-        "eloc_partition": p.eloc_partition,
         "comm_codec": p.comm_codec,
         "comm_shm": p.comm_shm,
     }

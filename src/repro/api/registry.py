@@ -26,8 +26,8 @@ Builder contracts (what the driver calls):
 * **eloc_kernel**: ``kernel(wf, comp, batch, table=None) ->
   (eloc, AmplitudeTable)`` — the signature of
   :func:`repro.core.local_energy.local_energy`.
-* **backend**: ``factory(n_ranks, *, nu_star_per_rank, eloc_partition) ->
-  ExecutionBackend`` — an execution backend of
+* **backend**: ``factory(n_ranks, *, nu_star_per_rank, comm_codec,
+  comm_shm) -> ExecutionBackend`` — an execution backend of
   :mod:`repro.core.engine` (the spec's ``parallel.backend`` choice).
 
 Unknown names raise :class:`UnknownComponentError` listing what *is*

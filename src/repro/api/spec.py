@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.backend import BACKEND_NAMES
-from repro.core.engine import ELOC_MODES, ELOC_PARTITIONS
+from repro.core.engine import ELOC_MODES
 
 __all__ = [
     "SpecError",
@@ -234,10 +234,10 @@ class ParallelSpec(_Spec):
 
     ``backend`` names a registered execution backend (``serial`` /
     ``threads`` / ``process`` / ``cluster``); ``n_ranks`` and
-    ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p;
-    ``eloc_partition`` selects the Sec. 3.3 weight-balanced local-energy
-    chunking (or ``contiguous`` for the naive 1/N_p split); the
-    chunking/budget knobs feed the vectorized kernel.
+    ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p.  Each rank
+    evaluates, differentiates and computes E_loc on its own BAS samples
+    (the data locality of Fig. 4), so there is no separate E_loc partition
+    to choose; the chunking/budget knobs feed the vectorized kernel.
 
     ``comm_codec`` toggles the stage-2 delta/varint compression and
     ``comm_shm`` the process backend's shared-memory transport (see
@@ -258,7 +258,6 @@ class ParallelSpec(_Spec):
     backend: str = "serial"
     n_ranks: int = 1
     nu_star_per_rank: int = 64
-    eloc_partition: str = "balanced"
     group_chunk: int = 512
     sample_chunk: int = 4096
     eloc_memory_budget_mb: float | None = None
@@ -269,6 +268,14 @@ class ParallelSpec(_Spec):
     world_size: int | None = None
     join_timeout_s: float = 60.0
     collective_timeout_s: float = 600.0
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ParallelSpec":
+        # spec.json files written while the E_loc partition knob existed
+        # carry parallel.eloc_partition; drop it so those runs still resume.
+        if isinstance(data, dict):
+            data = {k: v for k, v in data.items() if k != "eloc_partition"}
+        return super().from_dict(data)
 
     def __post_init__(self) -> None:
         _require(isinstance(self.backend, str) and bool(self.backend),
@@ -310,9 +317,6 @@ class ParallelSpec(_Spec):
         _require(isinstance(self.nu_star_per_rank, int) and self.nu_star_per_rank > 0,
                  "parallel.nu_star_per_rank",
                  f"must be a positive int, got {self.nu_star_per_rank!r}")
-        _require(self.eloc_partition in ELOC_PARTITIONS,
-                 "parallel.eloc_partition",
-                 f"must be one of {ELOC_PARTITIONS}, got {self.eloc_partition!r}")
         for attr in ("group_chunk", "sample_chunk"):
             v = getattr(self, attr)
             _require(isinstance(v, int) and v > 0,

@@ -299,12 +299,12 @@ class Tensor:
         """tanh-approximation GELU (the variant used by GPT-style decoders)."""
         a = self.data
         c = math.sqrt(2.0 / math.pi)
-        inner = c * (a + 0.044715 * a**3)
+        inner = c * (a + 0.044715 * (a * a * a))
         t = xp.tanh(inner)
         out = 0.5 * a * (1.0 + t)
 
         def backward(g):
-            dinner = c * (1.0 + 3 * 0.044715 * a**2)
+            dinner = c * (1.0 + 3 * 0.044715 * (a * a))
             dt = (1.0 - t * t) * dinner
             return (g * (0.5 * (1.0 + t) + 0.5 * a * dt),)
 

@@ -10,14 +10,19 @@ Fig. 4 (Sec. 3.2):
                             of the layer-k nodes; a single rank runs the
                             plain serial sweep on the engine's persistent RNG
                             (bit-identical to the serial backend).
-  stage 2  gather/table     Allgather of (packed unique samples, weights,
-                            log amplitudes); lexsorted into the global
-                            amplitude table (Algorithm 2's id_lut/wf_lut).
-  stage 3  eloc shard       each rank evaluates local energies for its
-                            weight-balanced chunk of the global unique set
-                            (Sec. 3.3 load balancing) against the table.
+  stage 2  forward/table    the iteration's only full amplitude forward:
+                            each rank lexsorts its own unique rows and runs
+                            log pi / phi on them *taped*; Allgather of
+                            (packed unique samples, weights, log amplitudes)
+                            lexsorted into the global amplitude table
+                            (Algorithm 2's id_lut/wf_lut).
+  stage 3  eloc             each rank evaluates local energies on its own
+                            sorted rows (the data locality of Fig. 4)
+                            against the global table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
-  stage 5  backward         Eq. 7 surrogate loss + backward on the chunk.
+  stage 5  backward         Eq. 7 surrogate loss back-propagated through the
+                            stage-2 tensors (no second forward); the tape
+                            lives from stage 2 to here.
   stage 6  gradient reduce  one Allreduce carries the gradient *and* the
                             centered second moment (variance), so parallel
                             histories report variance/eloc_imag exactly like
@@ -47,7 +52,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.autograd import Tensor
 from repro.backend import active_backend, counter_delta, get_backend, use_backend, xp
@@ -64,11 +69,10 @@ from repro.core.sampler import (
     bas_prefix_sweep,
     batch_autoregressive_sample,
 )
-from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
+from repro.utils.bitstrings import lexsort_keys, pack_bits
 
 __all__ = [
     "ELOC_MODES",
-    "ELOC_PARTITIONS",
     "VMCConfig",
     "VMCStats",
     "stats_record",
@@ -79,7 +83,7 @@ __all__ = [
     "stage_sample",
     "stage_sample_parallel",
     "stage_gather_table",
-    "stage_partition",
+    "GatheredTable",
     "stage_local_energy",
     "stage_backward",
     "stage_update",
@@ -87,7 +91,6 @@ __all__ = [
 ]
 
 ELOC_MODES = ("exact", "sample_aware")
-ELOC_PARTITIONS = ("balanced", "contiguous")
 
 
 @dataclass
@@ -191,7 +194,10 @@ class VMCStats:
     eloc_imag: float  # residual imaginary part of the energy (sanity signal)
     wall_time: float = field(default=0.0, compare=False)
     time_sampling: float = field(default=0.0, compare=False)  # max over ranks
+    # Stage 2: the taped amplitude forward plus the table allgather.
+    time_table: float = field(default=0.0, compare=False)
     time_local_energy: float = field(default=0.0, compare=False)
+    # Stage 5 only: the backward through stage 2's tape (no forward).
     time_gradient: float = field(default=0.0, compare=False)
     comm_bytes: int | None = None     # None: no communicator (serial backend)
     per_rank_unique: list[int] | None = field(default=None)
@@ -230,6 +236,7 @@ def stats_record(stats: VMCStats) -> dict:
             ),
             wall_time=stats.wall_time,
             time_sampling=stats.time_sampling,
+            time_table=stats.time_table,
             time_local_energy=stats.time_local_energy,
             time_gradient=stats.time_gradient,
             per_rank_unique=list(stats.per_rank_unique or []),
@@ -277,47 +284,59 @@ def _counts_array(weights):
     return weights.astype(uint32)
 
 
+class GatheredTable(NamedTuple):
+    """Stage 2's output: the global table plus this rank's taped rows."""
+
+    table: AmplitudeTable    # global unique set (lexsorted keys) -> log Psi
+    weights: object          # its int64 multiplicities, same order
+    rows: SampleBatch        # this rank's unique rows, lexsorted
+    logp: Tensor             # taped log pi(rows)
+    phi: Tensor              # taped phi(rows)
+
+
 def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
-                       baseline=None):
-    """Stage 2: Allgather the unique sets; build the global amplitude table.
+                       baseline=None) -> GatheredTable:
+    """Stage 2: the taped forward on this rank's rows; the global table.
 
-    Returns ``(keys, weights, table)`` with the global unique set lexsorted —
-    the rank-independent canonical order every chunk indexes into.
+    The rank lexsorts its own unique rows and runs ``log_prob`` /
+    ``phase_of`` on them *with* the tape — the iteration's only full
+    amplitude forward.  Stages 3 and 5 work on exactly these rows, and stage
+    5 back-propagates through the returned tensors, so the graph lives from
+    here to the end of stage 5.
 
-    The multi-rank payload is split into two typed channels:
+    The table's keys are the global unique set, lexsorted — the
+    rank-independent canonical order.  The multi-rank payload is split into
+    two typed channels:
 
     * ``stage2_samples`` — packed keys + integer counts.  With ``codec``
-      on, each rank lexsorts locally and ships a delta/varint payload
+      on, each rank ships a delta/varint payload of its sorted keys
       (:mod:`repro.parallel.codec`), diffed against ``baseline`` (the
       previous iteration's global unique set) when one is available; with
       ``codec`` off the keys and uint32 counts travel as raw typed arrays.
     * ``stage2_amps`` — the complex128 log-amplitudes, always raw (lossless
       float compression is not worth the cycles).
 
-    Amplitudes are evaluated on ``local.bits`` in sampler order *before* any
-    local sort, so the network sees exactly the batches it always saw; the
-    global set is unique across ranks (disjoint BAS subtrees), hence the
+    The global set is unique across ranks (disjoint BAS subtrees), hence the
     final lexsort yields the same table bit-for-bit regardless of the wire
     encoding.
     """
     local_keys = pack_bits(local.bits)
+    order = lexsort_keys(local_keys)
+    skeys = local_keys[order]
+    sweights = local.weights.astype(int64)[order]
+    rows = SampleBatch(bits=local.bits[order], weights=sweights)
+    logp = wf.log_prob(rows.bits)
+    phi = wf.phase_of(rows.bits)
     # The stage-2 comm boundary: log-amplitudes leave the device exactly once
     # per rank and iteration, entering the host-resident global table (and,
     # multi-rank, the stage2_amps collective).
     local_amps = active_backend().to_host(
-        wf.log_amplitudes(local.bits), tag="stage2.amps"
+        0.5 * logp.data + 1j * phi.data, tag="stage2.amps"
     )
     if comm.Get_size() == 1:
-        order = lexsort_keys(local_keys)
-        keys = local_keys[order]
-        weights = local.weights.astype(int64)[order]
-        amps = local_amps[order]
-        return keys, weights, AmplitudeTable(keys=keys, log_amps=amps)
+        table = AmplitudeTable(keys=skeys, log_amps=local_amps)
+        return GatheredTable(table, sweights, rows, logp, phi)
 
-    order = lexsort_keys(local_keys)
-    skeys = local_keys[order]
-    sweights = local.weights.astype(int64)[order]
-    samps = local_amps[order]
     rank = comm.Get_rank()
     if codec and hasattr(comm, "allgather_blob"):
         from repro.parallel.codec import (
@@ -345,44 +364,35 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
             c.astype(int64)
             for c in comm.allgather_ndarray(counts, channel="stage2_samples")
         ]
-    amp_parts = comm.allgather_ndarray(samps, channel="stage2_amps")
+    amp_parts = comm.allgather_ndarray(local_amps, channel="stage2_amps")
     keys = xp.concatenate(key_parts, axis=0)
     weights = xp.concatenate(weight_parts)
     amps = xp.concatenate(amp_parts)
     order = lexsort_keys(keys)
     keys, weights, amps = keys[order], weights[order], amps[order]
-    return keys, weights, AmplitudeTable(keys=keys, log_amps=amps)
+    table = AmplitudeTable(keys=keys, log_amps=amps)
+    return GatheredTable(table, weights, rows, logp, phi)
 
 
-def stage_partition(weights, n_ranks: int,
-                    mode: str = "balanced") -> list:
-    """Stage 3 prologue: split the global unique set into per-rank chunks.
+def stage_partition(*_args, **_kwargs):
+    """Retired: there is no E_loc partition any more.
 
-    ``balanced`` (default) reuses the Sec. 3.3 weight-balancing heuristic —
-    contiguous cuts of ~equal total sample weight — instead of the naive
-    contiguous ``1/N_p`` count split (kept as ``contiguous`` for the
-    benchmark comparison).
+    Stages 3 and 5 run on each rank's own rows (``GatheredTable.rows``), so
+    nothing calls this.  The name stays only because the repository
+    benchmark's instrumentation (``perfbench/spans.py``) wraps it and its
+    tests require every wrapped entry point to exist; drop it together with
+    that span.
     """
-    if mode == "balanced":
-        from repro.parallel.partition import balanced_weight_partition
-
-        return balanced_weight_partition(weights, n_ranks)
-    if mode != "contiguous":
-        raise ValueError(
-            f"eloc partition mode must be one of {ELOC_PARTITIONS}, got {mode!r}"
-        )
-    n = len(weights)
-    return [
-        xp.arange(r * n // n_ranks, (r + 1) * n // n_ranks, dtype=int64)
-        for r in range(n_ranks)
-    ]
+    raise NotImplementedError(
+        "the E_loc partition is gone: each rank evaluates its own rows"
+    )
 
 
-def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
+def stage_local_energy(wf, comp, rows: SampleBatch, table: AmplitudeTable,
                        config: VMCConfig,
                        plan: ElocPlan | None = None,
                        kernel: Callable | None = None):
-    """Stage 3: local energies of one chunk against the global table.
+    """Stage 3: local energies of this rank's own rows vs. the global table.
 
     The batch kernel is resolved by name from the eloc_kernel registry
     (``config.eloc_kernel``) unless the engine hands in its once-per-run
@@ -393,13 +403,13 @@ def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
     tbl = table
     if config.eloc_mode == "exact":
         tbl = extend_amplitude_table(
-            wf, comp, chunk, table,
+            wf, comp, rows, table,
             memory_budget_bytes=config.eloc_memory_budget_bytes(),
         )
     if kernel is None:
         kernel = resolve_batch_kernel(config.eloc_kernel)
     return kernel(
-        comp, chunk, tbl,
+        comp, rows, tbl,
         group_chunk=config.group_chunk,
         sample_chunk=config.sample_chunk,
         memory_budget_bytes=config.eloc_memory_budget_bytes(),
@@ -407,19 +417,20 @@ def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
     )
 
 
-def stage_backward(wf, chunk: SampleBatch, w_norm,
-                   eloc, e_mean: float, e_imag: float):
+def stage_backward(wf, logp: Tensor, phi: Tensor, w_norm, eloc,
+                   e_mean: float, e_imag: float):
     """Stage 5: Eq. 7 surrogate loss + backward; returns the flat gradient.
 
     grad = E_p[ Re(E_loc - E) grad log pi(x) ] + 2 E_p[ Im(E_loc - E) grad phi(x) ]
 
-    implemented as a scalar loss with stop-gradient coefficients.
+    implemented as a scalar loss with stop-gradient coefficients and
+    back-propagated through ``logp`` / ``phi``, the taped ``log_prob`` /
+    ``phase_of`` of the rows ``eloc`` belongs to (stage 2's forward; no
+    forward runs here).
     """
     wf.zero_grad()
     coeff_amp = w_norm * (eloc.real - e_mean)
     coeff_phase = 2.0 * w_norm * (eloc.imag - e_imag)
-    logp = wf.log_prob(chunk.bits)
-    phi = wf.phase_of(chunk.bits)
     loss = (Tensor(coeff_amp) * logp).sum() + (Tensor(coeff_phase) * phi).sum()
     loss.backward()
     return wf.get_flat_grads()
@@ -445,14 +456,13 @@ def stage_update(engine, grad) -> None:
 # --------------------------------------------------------------------------
 # The per-rank iteration body (shared verbatim by every backend)
 # --------------------------------------------------------------------------
-def _rank_iteration(engine, comm, wf, rng, nu_star: int,
-                    eloc_partition: str) -> dict:
+def _rank_iteration(engine, comm, wf, rng, nu_star: int) -> dict:
     """Run stages 1-6 as one rank of ``comm``; returns the rank's results.
 
     With a size-1 communicator this *is* the serial iteration: the sample
     stage consumes the engine's persistent RNG, the collectives are
-    identities, and the chunk is the whole unique set — which is what makes
-    ``ThreadBackend(n_ranks=1)`` bit-identical to :class:`SerialBackend`.
+    identities, and the rank's rows are the whole unique set — which is what
+    makes ``ThreadBackend(n_ranks=1)`` bit-identical to :class:`SerialBackend`.
 
     The whole body runs under the engine's array backend (``use_backend``),
     so every ``xp`` allocation in the stages lands on it.  On instrumented
@@ -463,9 +473,7 @@ def _rank_iteration(engine, comm, wf, rng, nu_star: int,
     array_backend = getattr(engine, "array_backend", None) or get_backend("numpy")
     with use_backend(array_backend):
         snap0 = array_backend.counter_snapshot()
-        out, snap1 = _rank_iteration_stages(
-            engine, comm, wf, rng, nu_star, eloc_partition
-        )
+        out, snap1 = _rank_iteration_stages(engine, comm, wf, rng, nu_star)
         snap2 = array_backend.counter_snapshot()
     sampling = counter_delta(snap0, snap1)
     if sampling is not None:
@@ -476,8 +484,8 @@ def _rank_iteration(engine, comm, wf, rng, nu_star: int,
     return out
 
 
-def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
-                           eloc_partition: str) -> tuple[dict, dict | None]:
+def _rank_iteration_stages(engine, comm, wf, rng,
+                           nu_star: int) -> tuple[dict, dict | None]:
     """Stages 1-6 proper; returns ``(out, post-stage-1 counter snapshot)``."""
     cfg: VMCConfig = engine.config
     size = comm.Get_size()
@@ -501,42 +509,40 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     times["sampling"] = time.perf_counter() - t0
     snap_sampled = active_backend().counter_snapshot()
 
-    # ---- stage 2: allgather + global amplitude table -----------------------
+    # ---- stage 2: taped forward + allgather + global amplitude table ------
+    t0 = time.perf_counter()
     codec = bool(getattr(engine.backend, "comm_codec", True))
     baseline = getattr(engine, "comm_baseline", None) if codec else None
-    keys, weights, table = stage_gather_table(
+    gathered = stage_gather_table(
         comm, wf, local, codec=codec, baseline=baseline
     )
-    n_u = len(weights)
+    rows = gathered.rows
+    times["table"] = time.perf_counter() - t0
 
-    # ---- stage 3: local energy on this rank's chunk ------------------------
+    # ---- stage 3: local energy on this rank's own rows ---------------------
     t0 = time.perf_counter()
-    idx = stage_partition(weights, size, eloc_partition)[rank]
-    chunk = SampleBatch(
-        bits=unpack_bits(keys[idx], engine.comp.n_qubits),
-        weights=weights[idx],
-    )
-    eloc = stage_local_energy(wf, engine.comp, chunk, table, cfg,
+    eloc = stage_local_energy(wf, engine.comp, rows, gathered.table, cfg,
                               plan=getattr(engine, "eloc_plan", None),
                               kernel=getattr(engine, "eloc_kernel_fn", None))
     times["local_energy"] = time.perf_counter() - t0
 
     # ---- stage 4: allreduce the weighted energy sums -----------------------
-    w_chunk = chunk.weights.astype(float64)
+    w_rows = rows.weights.astype(float64)
     local_sums = xp.array(
-        [xp.sum(w_chunk * eloc.real), xp.sum(w_chunk * eloc.imag), w_chunk.sum()]
+        [xp.sum(w_rows * eloc.real), xp.sum(w_rows * eloc.imag), w_rows.sum()]
     )
     sums = comm.allreduce_sum(local_sums)
     e_mean = sums[0] / sums[2]
     e_imag = sums[1] / sums[2]
 
-    # ---- stage 5: Eq. 7 backward on the chunk ------------------------------
+    # ---- stage 5: Eq. 7 backward through the stage-2 tape ------------------
     t0 = time.perf_counter()
-    grad = stage_backward(wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag)
+    grad = stage_backward(wf, gathered.logp, gathered.phi, w_rows / sums[2],
+                          eloc, e_mean, e_imag)
     times["gradient"] = time.perf_counter() - t0
 
     # ---- stage 6: one allreduce for the gradient + centered 2nd moment -----
-    var_local = xp.array([xp.sum(w_chunk * (eloc.real - e_mean) ** 2)])
+    var_local = xp.array([xp.sum(w_rows * (eloc.real - e_mean) ** 2)])
     # The stage-6 comm boundary: the fused gradient + variance payload leaves
     # the device exactly once per rank and iteration, entering the allreduce.
     fused = active_backend().to_host(
@@ -553,8 +559,8 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
         "energy": float(e_mean),
         "eloc_imag": float(abs(e_imag)),
         "variance": variance,
-        "n_unique": int(n_u),
-        "n_local_unique": int(local.n_unique),
+        "n_unique": len(gathered.weights),
+        "n_local_unique": int(rows.n_unique),
         "n_samples": int(n_samples),
         "times": times,
     }
@@ -566,7 +572,7 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
         # so shipping one is enough); on SPMD backends (cluster) each rank
         # is a separate host-resident engine and must retain its own copy to
         # decode peers' delta-encoded payloads next iteration.
-        out["global_keys"] = keys
+        out["global_keys"] = gathered.table.keys
     return out, snap_sampled
 
 
@@ -636,21 +642,14 @@ class SerialBackend(ExecutionBackend):
     n_ranks = 1
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
-        result = _rank_iteration(
-            engine, _SoloComm(), engine.wf, engine.rng,
-            nu_star=0, eloc_partition="balanced",
-        )
+        result = _rank_iteration(engine, _SoloComm(), engine.wf, engine.rng,
+                                 nu_star=0)
         return [result], None
 
 
-def _validate_rank_args(n_ranks: int, eloc_partition: str) -> None:
+def _validate_rank_args(n_ranks: int) -> None:
     if not isinstance(n_ranks, int) or n_ranks < 1:
         raise ValueError(f"n_ranks must be a positive int, got {n_ranks!r}")
-    if eloc_partition not in ELOC_PARTITIONS:
-        raise ValueError(
-            f"eloc_partition must be one of {ELOC_PARTITIONS}, "
-            f"got {eloc_partition!r}"
-        )
 
 
 class ThreadBackend(ExecutionBackend):
@@ -665,12 +664,10 @@ class ThreadBackend(ExecutionBackend):
     name = "threads"
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", comm_codec: bool = True,
-                 comm_shm: bool = True):
-        _validate_rank_args(n_ranks, eloc_partition)
+                 comm_codec: bool = True, comm_shm: bool = True):
+        _validate_rank_args(n_ranks)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.eloc_partition = eloc_partition
         self.comm_codec = bool(comm_codec)
         # comm_shm is accepted for spec symmetry; thread ranks already share
         # one address space, so there is nothing to toggle.
@@ -698,10 +695,8 @@ class ThreadBackend(ExecutionBackend):
         rng = engine.rng  # consumed only on the size-1 (serial-identical) path
 
         def rank_fn(comm):
-            return _rank_iteration(
-                engine, comm, self.replicas[comm.Get_rank()], rng,
-                nu_star=nu_star, eloc_partition=self.eloc_partition,
-            )
+            return _rank_iteration(engine, comm, self.replicas[comm.Get_rank()],
+                                   rng, nu_star=nu_star)
 
         results, stats = run_spmd(self.n_ranks, rank_fn)
         self.last_comm_stats = stats
@@ -727,13 +722,11 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", timeout: float = 600.0,
-                 comm_codec: bool = True, comm_shm: bool = True,
-                 join_timeout: float = 10.0):
-        _validate_rank_args(n_ranks, eloc_partition)
+                 timeout: float = 600.0, comm_codec: bool = True,
+                 comm_shm: bool = True, join_timeout: float = 10.0):
+        _validate_rank_args(n_ranks)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.eloc_partition = eloc_partition
         self.timeout = timeout
         self.join_timeout = join_timeout
         self.comm_codec = bool(comm_codec)
@@ -747,10 +740,8 @@ class ProcessBackend(ExecutionBackend):
         param_bytes = sum(p.data.nbytes for p in engine.wf.parameters())
 
         def rank_fn(comm):
-            out = _rank_iteration(
-                engine, comm, engine.wf, engine.rng,
-                nu_star=nu_star, eloc_partition=self.eloc_partition,
-            )
+            out = _rank_iteration(engine, comm, engine.wf, engine.rng,
+                                  nu_star=nu_star)
             if comm.Get_size() == 1:
                 # The serial-identical path consumed the fork's private copy
                 # of the RNG; ship its state back so the parent's stream
@@ -830,6 +821,7 @@ def execute_iteration(engine) -> VMCStats:
         eloc_imag=r0["eloc_imag"],
         wall_time=wall,
         time_sampling=max(r["times"]["sampling"] for r in results),
+        time_table=max(r["times"]["table"] for r in results),
         time_local_energy=max(r["times"]["local_energy"] for r in results),
         time_gradient=max(r["times"]["gradient"] for r in results),
         comm_bytes=comm_bytes,

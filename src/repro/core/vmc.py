@@ -3,14 +3,15 @@
 One iteration (see :mod:`repro.core.engine` for the staged pipeline):
 
 1. Batch autoregressive sampling produces N_u unique samples with weights.
-2. Amplitudes of the unique set are tabulated (wf_lut, Algorithm 2) and the
-   local energies evaluated with the vectorized kernel.
+2. Amplitudes of the unique set are tabulated (wf_lut, Algorithm 2) by one
+   taped forward, and the local energies evaluated with the planned kernel.
 3. The energy estimate is the weighted mean (Eq. 6) and the gradient follows
    Eq. 7; with Psi = sqrt(pi) e^{i phi} it splits into
 
    grad = E_p[ Re(E_loc - E) * grad log pi(x) ] + 2 E_p[ Im(E_loc - E) * grad phi(x) ]
 
-   implemented as a surrogate scalar loss with stop-gradient coefficients.
+   implemented as a surrogate scalar loss with stop-gradient coefficients,
+   back-propagated through step 2's forward.
 4. AdamW + the Eq. 13 warmup schedule update the parameters.
 
 :class:`VMC` owns the iteration *state* (wavefunction, optimizer, schedule,
@@ -130,12 +131,19 @@ class VMC:
                             sampler=self.config.sampler)
 
     def gradient_step(self, batch: SampleBatch, eloc: np.ndarray) -> None:
-        """Backpropagate Eq. 7 and update parameters (stages 5-6, one rank)."""
+        """Backpropagate Eq. 7 and update parameters (stages 5-6, one rank).
+
+        Runs its own taped forward on ``batch`` (the engine reuses stage 2's
+        instead) and hands the tensors to the shared stage-5 backward.
+        """
         w = batch.weights.astype(np.float64)
         w_total = w.sum()
         e_mean = float(np.sum(w * eloc.real) / w_total)
         e_imag = float(np.sum(w * eloc.imag) / w_total)
-        grad = stage_backward(self.wf, batch, w / w_total, eloc, e_mean, e_imag)
+        logp = self.wf.log_prob(batch.bits)
+        phi = self.wf.phase_of(batch.bits)
+        grad = stage_backward(self.wf, logp, phi, w / w_total, eloc,
+                              e_mean, e_imag)
         stage_update(self, grad)
 
     # ------------------------------------------------------------ main loop

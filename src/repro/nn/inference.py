@@ -95,7 +95,7 @@ def layer_norm_np(x, layer):
 def gelu_np(x):
     """tanh-approximation GELU (mirrors ``Tensor.gelu``)."""
     c = math.sqrt(2.0 / math.pi)
-    inner = c * (x + 0.044715 * x**3)
+    inner = c * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + xp.tanh(inner))
 
 

@@ -660,14 +660,13 @@ class ClusterBackend(ExecutionBackend):
     spmd = True
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", comm_codec: bool = True,
-                 comm_shm: bool = True, *, rendezvous_addr: str | None = None,
+                 comm_codec: bool = True, comm_shm: bool = True, *,
+                 rendezvous_addr: str | None = None,
                  rank: int | None = None, join_timeout: float = 60.0,
                  collective_timeout: float = 600.0, comm=None):
-        _validate_rank_args(n_ranks, eloc_partition)
+        _validate_rank_args(n_ranks)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.eloc_partition = eloc_partition
         self.comm_codec = bool(comm_codec)
         # Accepted for spec symmetry; shared-memory segments do not cross
         # hosts, so there is nothing to toggle here.
@@ -702,10 +701,8 @@ class ClusterBackend(ExecutionBackend):
 
         before_logical = comm.stats.total_bytes
         before_wire = comm.stats.total_wire_bytes
-        out = _rank_iteration(
-            engine, comm, engine.wf, engine.rng,
-            nu_star=nu_star, eloc_partition=self.eloc_partition,
-        )
+        out = _rank_iteration(engine, comm, engine.wf, engine.rng,
+                              nu_star=nu_star)
         logical = comm.stats.total_bytes - before_logical
         wire = comm.stats.total_wire_bytes - before_wire
         self.last_comm_stats = comm.stats
@@ -716,7 +713,7 @@ class ClusterBackend(ExecutionBackend):
         # delta above, because the thread backend has no analogous transfer.
         t = out["times"]
         stats_vec = np.array(
-            [t["sampling"], t["local_energy"], t["gradient"],
+            [t["sampling"], t["table"], t["local_energy"], t["gradient"],
              float(out["n_local_unique"])], dtype=np.float64,
         )
         gathered = comm.allgather_ndarray(stats_vec)
@@ -725,10 +722,11 @@ class ClusterBackend(ExecutionBackend):
             results.append({
                 "times": {
                     "sampling": float(gathered[r][0]),
-                    "local_energy": float(gathered[r][1]),
-                    "gradient": float(gathered[r][2]),
+                    "table": float(gathered[r][1]),
+                    "local_energy": float(gathered[r][2]),
+                    "gradient": float(gathered[r][3]),
                 },
-                "n_local_unique": int(gathered[r][3]),
+                "n_local_unique": int(gathered[r][4]),
             })
         results[0].update({
             key: out[key]

@@ -3,9 +3,9 @@
 The parallel iteration used to live here as a fork of ``core.vmc.VMC`` with
 its own gradient/optimizer/clip code.  It is now a *backend* of the unified
 execution engine: :class:`~repro.core.engine.ThreadBackend` schedules the
-shared stage functions (parallel BAS -> allgathered amplitude table ->
-weight-balanced local-energy shard -> Eq. 7 backward -> reduced-gradient
-update) over FakeMPI thread ranks, and the engine applies the single
+shared stage functions (parallel BAS -> taped forward + allgathered
+amplitude table -> local energies of each rank's own samples -> Eq. 7
+backward -> reduced-gradient update) over FakeMPI thread ranks, and the engine applies the single
 parameter update.  See :mod:`repro.core.engine` for the stage contract and
 DESIGN.md ("Execution engine") for the backend matrix.
 
@@ -32,14 +32,12 @@ class DataParallelVMC(VMC):
     def __init__(self, wf: NNQSWavefunction,
                  hamiltonian: QubitHamiltonian | CompressedHamiltonian,
                  n_ranks: int, config: VMCConfig | None = None,
-                 nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced"):
+                 nu_star_per_rank: int = 64):
         super().__init__(
             wf, hamiltonian, config,
             backend=ThreadBackend(
                 n_ranks=n_ranks,
                 nu_star_per_rank=nu_star_per_rank,
-                eloc_partition=eloc_partition,
             ),
         )
         self.n_ranks = n_ranks

@@ -455,7 +455,7 @@ class RendezvousCoordinator:
             for conn, info in pending:
                 self._members[info["rank"]] = {
                     "conn": conn, "addr": info["addr"], "last_seen": now,
-                    "left": False,
+                    "left": False, "poisoned": False,
                 }
         for conn, info in pending:
             send_ctrl(
@@ -507,7 +507,10 @@ class RendezvousCoordinator:
             except (ConnectionError, ClusterProtocolError, OSError):
                 with self._lock:
                     member = self._members.get(rank)
-                    if member is None or member["left"] or self._done.is_set():
+                    # A poisoned member's read side was shut down by
+                    # _abort_all itself: that EOF names no new culprit.
+                    if (member is None or member["left"] or member["poisoned"]
+                            or self._done.is_set()):
                         return
                 # Socket dropped without a clean leave: poison immediately
                 # rather than waiting out the heartbeat deadline.
@@ -536,6 +539,8 @@ class RendezvousCoordinator:
                 r: m["conn"] for r, m in self._members.items()
                 if r not in exclude and not m["left"]
             }
+            for r in targets:
+                self._members[r]["poisoned"] = True
 
         def send_abort(rank: int, msg: str) -> None:
             conn = targets[rank]

@@ -35,6 +35,7 @@ class ScalingPoint:
     n_unique: int
     comm_bytes: int
     comm_bytes_wire: int = 0
+    time_table: float = 0.0  # stage 2: taped forward + table allgather
 
 
 def measure_scaling(
@@ -46,7 +47,6 @@ def measure_scaling(
     warmup_iters: int = 1,
     config: VMCConfig | None = None,
     nu_star_per_rank: int = 64,
-    eloc_partition: str = "balanced",
     backend: str = "threads",
     comm_codec: bool = True,
     comm_shm: bool = True,
@@ -61,9 +61,7 @@ def measure_scaling(
     transport over localhost TCP (``backend="cluster"``: one full driver per
     rank in a thread, meeting inside the socket collectives — rank 0's stats
     speak for the world since SPMD trajectories are identical);
-    ``eloc_partition`` selects the Sec. 3.3 weight-balanced chunking
-    (default) or the naive contiguous split for comparison; ``comm_codec`` /
-    ``comm_shm`` toggle the typed/compressed comm layer for before/after
+    ``comm_codec`` / ``comm_shm`` toggle the typed/compressed comm layer for before/after
     bench comparisons.
     """
     if backend not in ("threads", "process", "cluster"):
@@ -78,8 +76,7 @@ def measure_scaling(
         if backend == "cluster":
             stats = _cluster_iteration_stats(
                 wf_factory, comp, cfg, n_ranks,
-                nu_star_per_rank=nu_star_per_rank,
-                eloc_partition=eloc_partition, comm_codec=comm_codec,
+                nu_star_per_rank=nu_star_per_rank, comm_codec=comm_codec,
                 comm_shm=comm_shm, n_iters=n_iters,
                 warmup_iters=warmup_iters,
             )
@@ -91,7 +88,6 @@ def measure_scaling(
                 wf, comp, cfg,
                 backend=backend_cls(
                     n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                    eloc_partition=eloc_partition,
                     comm_codec=comm_codec, comm_shm=comm_shm,
                 ),
             )
@@ -106,6 +102,7 @@ def measure_scaling(
                 time_sampling=float(np.median([s.time_sampling for s in stats])),
                 time_local_energy=float(np.median([s.time_local_energy for s in stats])),
                 time_gradient=float(np.median([s.time_gradient for s in stats])),
+                time_table=float(np.median([s.time_table for s in stats])),
                 n_unique=stats[-1].n_unique,
                 comm_bytes=stats[-1].comm_bytes,
                 comm_bytes_wire=(stats[-1].comm_bytes_wire
@@ -116,8 +113,8 @@ def measure_scaling(
 
 
 def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
-                             nu_star_per_rank, eloc_partition, comm_codec,
-                             comm_shm, n_iters, warmup_iters):
+                             nu_star_per_rank, comm_codec, comm_shm,
+                             n_iters, warmup_iters):
     """Run ``n_ranks`` SPMD cluster ranks as localhost threads and return
     rank 0's per-iteration stats.
 
@@ -145,8 +142,7 @@ def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
                 wf_factory(), comp, cfg,
                 backend=ClusterBackend(
                     n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                    eloc_partition=eloc_partition, comm_codec=comm_codec,
-                    comm_shm=comm_shm, comm=comm,
+                    comm_codec=comm_codec, comm_shm=comm_shm, comm=comm,
                 ),
             )
             for _ in range(warmup_iters):
@@ -200,9 +196,9 @@ def model_scaling(
 ) -> list[ScalingPoint]:
     """Analytic extrapolation beyond the host's core count.
 
-    Calibrated from a measured base point: the local-energy and gradient
-    stages divide by the rank ratio (they are embarrassingly parallel over
-    unique samples); sampling carries a serial component — the shared prefix
+    Calibrated from a measured base point: the stage-2 forward, local-energy
+    and gradient stages divide by the rank ratio (they are embarrassingly
+    parallel over unique samples); sampling carries a serial component — the shared prefix
     sweep of Fig. 5, whose dynamic split threshold keeps it to a few percent
     of the sampling stage (``serial_fraction_sampling = 0.07`` reproduces the
     paper's measured strong-scaling efficiencies: 84% @32, 68% @64); in weak
@@ -213,7 +209,8 @@ def model_scaling(
     ``link_bandwidth_gbs`` interconnect.  This is the documented substitution
     for the 64-GPU axis of Figs. 11/12.
     """
-    stage_sum = base.time_sampling + base.time_local_energy + base.time_gradient
+    stage_sum = (base.time_sampling + base.time_table
+                 + base.time_local_energy + base.time_gradient)
     overhead = max(base.time_per_iter - stage_sum, 0.0)
     out = []
     for n in rank_counts:
@@ -227,6 +224,7 @@ def model_scaling(
         imbalance = 1.0 + (imbalance_per_ratio * (ratio - 1.0) if mode == "weak" else 0.0)
         t_eloc = base.time_local_energy * work_scale * imbalance
         t_grad = base.time_gradient * work_scale * imbalance
+        t_table = base.time_table * work_scale * imbalance
         serial = base.time_sampling * serial_fraction_sampling
         t_sample = (serial + (base.time_sampling - serial) * work_scale) * imbalance
         comm = CommVolumeModel(n_qubits, n_unique, n, n_params)
@@ -235,10 +233,12 @@ def model_scaling(
             ScalingPoint(
                 n_ranks=n,
                 n_samples=int(base.n_samples * (ratio if mode == "weak" else 1.0)),
-                time_per_iter=overhead + t_sample + t_eloc + t_grad + t_comm,
+                time_per_iter=(overhead + t_sample + t_table + t_eloc + t_grad
+                               + t_comm),
                 time_sampling=t_sample,
                 time_local_energy=t_eloc,
                 time_gradient=t_grad,
+                time_table=t_table,
                 n_unique=n_unique,
                 comm_bytes=comm.total_bytes,
                 comm_bytes_wire=comm.compressed_total_bytes,

@@ -530,6 +530,34 @@ class TestFailureSemantics:
         assert outcome is not None and outcome.startswith("aborted")
         assert "rank 1" in outcome
 
+    def test_poisoned_survivor_is_not_blamed(self, monkeypatch):
+        """Poisoning a survivor shuts down the coordinator's read side of its
+        socket; that EOF must not be reported as a second death, even when
+        it is seen before the culprit's verdict is recorded."""
+        finish = RendezvousCoordinator._finish
+
+        def culprit_verdict_late(self, outcome):
+            if "rank 1" in outcome:
+                time.sleep(0.3)  # the survivor's reader runs first
+            finish(self, outcome)
+
+        monkeypatch.setattr(RendezvousCoordinator, "_finish",
+                            culprit_verdict_late)
+
+        def fn(comm):
+            if comm.Get_rank() == 1:
+                comm._simulate_crash()
+                return None
+            try:
+                comm.barrier()
+            except CommAbortError:
+                pass
+            return None
+
+        _, _, outcome = _run_cluster(2, fn)
+        assert outcome is not None and outcome.startswith("aborted")
+        assert "rank 1" in outcome
+
 
 # ---------------------------------------------------------------- MPI adapter
 class _FakeMPIWorld:

@@ -7,8 +7,9 @@ Acceptance contracts of the engine refactor:
 * ``n_ranks in {2, 4}`` is run-to-run deterministic and agrees with serial
   on the energy, for all three ansätze;
 * a checkpointed parallel run resumes bit-identically;
-* the weight-balanced eloc partition beats the contiguous 1/N_p split on
-  skewed weights;
+* one full amplitude forward per rank and iteration: stage 2's taped
+  forward on the rank's own sorted rows is the graph stage 5 back-propagates
+  through, and stages 3 and 5 see exactly the rank's own samples;
 * parallel histories carry variance/eloc_imag/comm fields (one stats type),
   so ``best_energy`` applies to any backend's history;
 * the RunSpec ``parallel`` section drives all of it through ``run()``.
@@ -19,11 +20,15 @@ import numpy as np
 import pytest
 
 from repro.core import VMC, VMCConfig, build_qiankunnet, load_checkpoint, save_checkpoint
+from repro.core import engine as engine_mod
 from repro.core.engine import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    stage_partition,
+    _SoloComm,
+    stage_backward,
+    stage_gather_table,
+    stage_local_energy,
 )
 from repro.core.local_energy import budgeted_sample_chunk
 from repro.core.pretrain import pretrain_to_reference
@@ -268,52 +273,90 @@ class TestUnifiedStats:
         assert s.per_rank_unique is None
         assert s.wall_time > 0
 
-    def test_parallel_variance_independent_of_partition(self, h2_problem):
-        """The allreduced variance is a property of the global unique set:
-        re-chunking it (balanced vs contiguous) must not change the value
-        beyond fp reduction order."""
-        var = {}
-        for mode in ("balanced", "contiguous"):
-            vmc = _fresh_vmc(h2_problem, backend=ThreadBackend(
-                n_ranks=2, nu_star_per_rank=4, eloc_partition=mode))
-            var[mode] = vmc.step().variance
-        assert var["balanced"] == pytest.approx(var["contiguous"], abs=1e-9)
 
+class TestSingleForward:
+    """Stage 2's taped forward is the iteration's only full forward."""
 
-class TestElocPartition:
-    def test_balanced_beats_contiguous_on_skewed_weights(self):
-        rng = np.random.default_rng(0)
-        # A BAS-like weight profile: few huge weights, long light tail.
-        weights = np.sort(rng.pareto(1.0, size=400) * 100 + 1)[::-1].astype(np.int64)
-        for n_ranks in (2, 4, 8):
-            balanced = stage_partition(weights, n_ranks, "balanced")
-            contiguous = stage_partition(weights, n_ranks, "contiguous")
-            loads_b = [weights[idx].sum() for idx in balanced]
-            loads_c = [weights[idx].sum() for idx in contiguous]
-            mean = weights.sum() / n_ranks
-            assert max(loads_b) / mean <= max(loads_c) / mean
-            # Coverage and order are preserved in both modes.
-            np.testing.assert_array_equal(
-                np.concatenate(balanced), np.arange(len(weights)))
-            np.testing.assert_array_equal(
-                np.concatenate(contiguous), np.arange(len(weights)))
+    @pytest.mark.parametrize("amplitude_type", ANSATZE)
+    def test_retained_tape_gradient_matches_fresh_forward(self, h2_problem,
+                                                          amplitude_type):
+        from repro.core.sampler import SampleBatch, batch_autoregressive_sample
 
-    def test_unknown_partition_mode_raises(self):
-        with pytest.raises(ValueError, match="partition"):
-            stage_partition(np.ones(4), 2, "typo")
+        vmc = _fresh_vmc(h2_problem, amplitude_type)
+        wf = vmc.wf
+        batch = batch_autoregressive_sample(wf, 800, np.random.default_rng(4))
+        order = np.random.default_rng(5).permutation(batch.n_unique)
+        local = SampleBatch(bits=batch.bits[order], weights=batch.weights[order])
+        gathered = stage_gather_table(_SoloComm(), wf, local)
+        rows = gathered.rows
+        np.testing.assert_array_equal(gathered.table.log_amps,
+                                      wf.log_amplitudes(rows.bits))
+        eloc = stage_local_energy(wf, vmc.comp, rows, gathered.table,
+                                  vmc.config)
+        w = rows.weights / rows.weights.sum()
+        e_mean = float(np.sum(w * eloc.real))
+        e_imag = float(np.sum(w * eloc.imag))
+        retained = stage_backward(wf, gathered.logp, gathered.phi, w, eloc,
+                                  e_mean, e_imag).copy()
+        fresh = stage_backward(wf, wf.log_prob(rows.bits),
+                               wf.phase_of(rows.bits), w, eloc,
+                               e_mean, e_imag)
+        assert np.any(retained != 0)
+        np.testing.assert_array_equal(retained, fresh)
 
-    def test_backend_validates_partition_mode(self):
-        with pytest.raises(ValueError, match="eloc_partition"):
-            ThreadBackend(n_ranks=2, eloc_partition="typo")
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    def test_one_forward_per_rank_iteration(self, h2_problem, monkeypatch,
+                                            n_ranks):
+        from repro.core.wavefunction import NNQSWavefunction
 
-    def test_contiguous_backend_still_converges_same_energy(self, h2_problem):
-        """Partitioning changes the fp reduction order, not the estimator."""
-        e = {}
-        for mode in ("balanced", "contiguous"):
-            vmc = _fresh_vmc(h2_problem, backend=ThreadBackend(
-                n_ranks=2, nu_star_per_rank=4, eloc_partition=mode))
-            e[mode] = vmc.step().energy
-        assert e["balanced"] == pytest.approx(e["contiguous"], abs=1e-9)
+        calls = []
+        original = NNQSWavefunction.masked_log_conditionals
+
+        def counted(self, tokens):
+            calls.append(id(self))
+            return original(self, tokens)
+
+        monkeypatch.setattr(NNQSWavefunction, "masked_log_conditionals",
+                            counted)
+        backend = (SerialBackend() if n_ranks == 1
+                   else ThreadBackend(n_ranks=2, nu_star_per_rank=4))
+        vmc = _fresh_vmc(h2_problem, backend=backend,
+                         eloc_mode="sample_aware")
+        for _ in range(3):
+            calls.clear()
+            vmc.step()
+            wfs = [vmc.wf] if n_ranks == 1 else backend.replicas
+            assert sorted(calls) == sorted(id(wf) for wf in wfs)
+
+    def test_stages_3_and_5_run_on_own_rows(self, h2_problem, monkeypatch):
+        backend = ThreadBackend(n_ranks=2, nu_star_per_rank=4)
+        vmc = _fresh_vmc(h2_problem, backend=backend)
+        eloc_rows, backward_rows = {}, {}
+
+        def local_energy(wf, comp, rows, *args, **kwargs):
+            eloc_rows[id(wf)] = rows.n_unique
+            return stage_local_energy(wf, comp, rows, *args, **kwargs)
+
+        def backward(wf, logp, phi, *args):
+            backward_rows[id(wf)] = len(logp.data)
+            return stage_backward(wf, logp, phi, *args)
+
+        monkeypatch.setattr(engine_mod, "stage_local_energy", local_energy)
+        monkeypatch.setattr(engine_mod, "stage_backward", backward)
+        for _ in range(2):
+            stats = vmc.step()
+            ranks = [id(wf) for wf in backend.replicas]
+            assert [eloc_rows[r] for r in ranks] == stats.per_rank_unique
+            assert [backward_rows[r] for r in ranks] == stats.per_rank_unique
+            assert sum(stats.per_rank_unique) == stats.n_unique
+
+    def test_stage2_time_reported(self, h2_problem):
+        from repro.core.engine import stats_record
+
+        s = _fresh_vmc(h2_problem, backend=ThreadBackend(
+            n_ranks=2, nu_star_per_rank=4)).step()
+        assert s.time_table > 0
+        assert stats_record(s)["time_table"] == s.time_table
 
 
 class TestElocChunkingKnobs:
@@ -469,8 +512,23 @@ class TestRunSpecIntegration:
 
         with pytest.raises(SpecError, match="parallel.n_ranks"):
             self._spec(n_ranks=0)
-        with pytest.raises(SpecError, match="parallel.eloc_partition"):
-            self._spec(eloc_partition="typo")
+
+    def test_legacy_eloc_partition_key_still_resumes(self, tmp_path):
+        """Run dirs written while the E_loc partition knob existed carry
+        ``parallel.eloc_partition`` in spec.json; they must still resume."""
+        import json
+
+        from repro.api import RunSpec, resume, run
+
+        run(self._spec(), run_dir=tmp_path / "old")
+        spec_path = tmp_path / "old" / "spec.json"
+        data = json.loads(spec_path.read_text())
+        data["parallel"]["eloc_partition"] = "balanced"
+        spec_path.write_text(json.dumps(data))
+        assert RunSpec.load(spec_path) == self._spec()
+        result = resume(tmp_path / "old",
+                        overrides={"train.max_iterations": 3})
+        assert result.report.iterations == 3
 
     def test_old_specs_without_parallel_section_load(self):
         from repro.api import RunSpec
