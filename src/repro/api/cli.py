@@ -210,6 +210,9 @@ def _print_run_info(run_dir: Path) -> int:
             print(f"comm     {logical / 2**20:.1f} MB logical -> "
                   f"{wire / 2**20:.1f} MB wire "
                   f"({logical / max(wire, 1):.1f}x compression)")
+        if report.get("rank_rows_imbalance") is not None:
+            print(f"balance  {report['rank_rows_imbalance']:.2f} median "
+                  "max/mean unique rows per rank")
     models = run_dir / driver.MODELS_DIR
     if (models / "manifest.json").exists():
         from repro.serve import ModelRegistry

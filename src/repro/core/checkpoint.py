@@ -17,6 +17,7 @@ can be published directly.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,25 @@ _HISTORY_EXTRAS = (
 )
 
 
+def _atomic_savez(path: str | Path, payload: dict) -> None:
+    """``np.savez`` to exactly ``path``, atomically.
+
+    The archive goes to a temp file in the same directory (through an open
+    handle, so numpy appends no ``.npz``) and is then ``os.replace``d over the
+    target: a crash mid-write leaves the previous file intact and no temp
+    file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **payload)
+        os.replace(tmp, path)  # atomic on POSIX
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # --------------------------------------------------------------- wavefunction
 def snapshot_payload(wf, metadata: dict | None = None) -> dict:
     """The registry-compatible snapshot fields of one wavefunction.
@@ -71,7 +91,7 @@ def snapshot_payload(wf, metadata: dict | None = None) -> dict:
 
 def save_model_snapshot(wf, path: str | Path, metadata: dict | None = None) -> None:
     """Write a self-contained wavefunction snapshot (params + rebuild spec)."""
-    np.savez(Path(path), **snapshot_payload(wf, metadata))
+    _atomic_savez(path, snapshot_payload(wf, metadata))
 
 
 def load_model_snapshot(path: str | Path):
@@ -107,7 +127,7 @@ def restore_rng(state_json: str) -> np.random.Generator:
 
 
 def save_checkpoint(vmc: VMC, path: str | Path) -> None:
-    path = Path(path)
+    """Write the resumable VMC state to ``path`` (atomically replaced)."""
     opt = vmc.optimizer
     payload = {
         "iteration": np.array(vmc.iteration),
@@ -144,7 +164,7 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
         # Hand-built wavefunction without a spec: still checkpointable,
         # just not publishable to a model registry.
         payload["params"] = vmc.wf.get_flat_params()
-    np.savez(path, **payload)
+    _atomic_savez(path, payload)
 
 
 def _restore_history(vmc: VMC, data) -> None:

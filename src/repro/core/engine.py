@@ -6,7 +6,7 @@ Fig. 4 (Sec. 3.2):
 
   stage 1  sample           parallel BAS (Fig. 5) for N_p > 1: identical
                             seeded prefix sweep to the dynamic split step k,
-                            then each rank finishes its weight-balanced share
+                            then each rank finishes an equal-count share
                             of the layer-k nodes; a single rank runs the
                             plain serial sweep on the engine's persistent RNG
                             (bit-identical to the serial backend).
@@ -260,10 +260,13 @@ def stage_sample_parallel(wf, n_samples: int, seed: int, iteration: int,
 
     Every rank replays the identical seeded prefix sweep up to the dynamic
     split step k (first layer holding >= N_u^* unique prefixes), takes its
-    weight-balanced share of the layer-k nodes, and finishes the subtree with
-    a rank-private stream.  Streams are derived from (seed, iteration, rank),
-    so the iteration is reproducible from the checkpointed iteration counter
-    alone — no RNG state crosses ranks.
+    contiguous, equal-count share of the layer-k nodes, and finishes the
+    subtree with a rank-private stream.  The split balances node count, not
+    sample weight: stages 1-3 and 5 cost per unique row, and a heavy node
+    (the HF prefix) can yield a single leaf, so a weight cut would leave its
+    rank idle (see :mod:`repro.parallel.partition`).  Streams are derived
+    from (seed, iteration, rank), so the iteration is reproducible from the
+    checkpointed iteration counter alone — no RNG state crosses ranks.
     """
     from repro.parallel.partition import split_tree_state
 

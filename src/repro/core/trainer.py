@@ -175,6 +175,10 @@ class TrainReport:
     # the typed/compressed transport actually moved.
     comm_bytes_logical: int | None = None
     comm_bytes_wire: int | None = None
+    # Median over iterations of max/mean unique rows per rank (the work each
+    # rank's BAS subtree hands stages 2, 3 and 5); None when every iteration
+    # was serial.  1.0 is a perfect split.
+    rank_rows_imbalance: float | None = None
 
     def to_dict(self) -> dict:
         """JSON-native form — written as ``report.json`` by the run driver."""
@@ -197,6 +201,11 @@ class TrainReport:
             lines.append(
                 f"comm volume       {self.comm_bytes_logical / 2**20:.1f} MB "
                 f"logical / {(self.comm_bytes_wire or 0) / 2**20:.1f} MB wire"
+            )
+        if self.rank_rows_imbalance is not None:
+            lines.append(
+                f"rank imbalance    {self.rank_rows_imbalance:.2f} "
+                "(median max/mean unique rows)"
             )
         lines.append(f"wall time         {self.wall_time:.1f} s")
         return "\n".join(lines)
@@ -247,6 +256,9 @@ def build_report(
                 else s.comm_bytes)
             for s in comm_iters
         )
+    ratios = [max(s.per_rank_unique) / np.mean(s.per_rank_unique)
+              for s in history if s.per_rank_unique]
+    imbalance = float(np.median(ratios)) if ratios else None
     return TrainReport(
         energy=energy,
         best_energy=best,
@@ -259,6 +271,7 @@ def build_report(
         correlation_fraction=frac,
         comm_bytes_logical=comm_logical,
         comm_bytes_wire=comm_wire,
+        rank_rows_imbalance=imbalance,
     )
 
 

@@ -15,7 +15,7 @@ from repro.parallel.fake_mpi import (
     run_spmd,
 )
 from repro.parallel.multiprocess import ProcessComm, run_spmd_processes
-from repro.parallel.partition import balanced_weight_partition, split_tree_state
+from repro.parallel.partition import split_tree_state
 from repro.parallel.comm_model import CommVolumeModel, comm_volume_bytes
 from repro.parallel.driver import DataParallelVMC, ParallelVMCStats
 from repro.parallel.cluster import (
@@ -42,7 +42,6 @@ __all__ = [
     "run_spmd",
     "ProcessComm",
     "run_spmd_processes",
-    "balanced_weight_partition",
     "split_tree_state",
     "CommVolumeModel",
     "comm_volume_bytes",

@@ -96,6 +96,40 @@ class TestResume:
         )
 
 
+class TestAtomicWrite:
+    def test_crash_mid_write_keeps_previous_checkpoint(self, h2_problem,
+                                                       tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.npz"
+        vmc = _fresh_vmc(h2_problem, "transformer")
+        vmc.run(2)
+        save_checkpoint(vmc, path)
+        expected = vmc.step()
+
+        def torn_savez(file, **payload):
+            file.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(vmc, path)
+        monkeypatch.undo()
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+        resumed = _fresh_vmc(h2_problem, "transformer")
+        load_checkpoint(resumed, path)
+        assert resumed.iteration == 2
+        assert resumed.step() == expected
+
+    def test_writes_exactly_the_given_path(self, h2_problem, tmp_path):
+        vmc = _fresh_vmc(h2_problem, "made")
+        vmc.run(1)
+        save_checkpoint(vmc, tmp_path / "ck")
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        resumed = _fresh_vmc(h2_problem, "made")
+        load_checkpoint(resumed, tmp_path / "ck")
+        assert resumed.iteration == 1
+
+
 class TestRngPayload:
     def test_restore_rng_roundtrip(self):
         import json

@@ -359,6 +359,26 @@ class TestSingleForward:
         assert stats_record(s)["time_table"] == s.time_table
 
 
+class TestBASSplitBalance:
+    def test_dominant_hf_prefix_still_splits_rows_evenly(self, h2o_problem):
+        """Counter gate: one heavy prefix must not leave a rank one row.
+
+        Pretrained toward HF, the HF prefix holds about half the sample
+        weight; a weight-balanced subtree split gives the ranks [1, ~140]
+        unique rows here.  The node-count split keeps max/mean <= 1.3.
+        """
+        prob = h2o_problem
+        wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, d_model=8,
+                              n_heads=2, n_layers=1, phase_hidden=(8,), seed=7)
+        assert pretrain_to_reference(wf, prob.hf_bits, target_prob=0.5) > 0.5
+        vmc = VMC(wf, prob.hamiltonian,
+                  VMCConfig(n_samples=10_000, warmup=50, seed=3),
+                  backend=ThreadBackend(n_ranks=2, nu_star_per_rank=4))
+        for _ in range(3):
+            rows = vmc.step().per_rank_unique
+            assert max(rows) / np.mean(rows) <= 1.3, rows
+
+
 class TestElocChunkingKnobs:
     def test_budgeted_sample_chunk_shrinks(self):
         # 2 words/key, 100 groups: 512-group chunk clamps to 100 groups,
@@ -436,10 +456,11 @@ class TestRunSpecIntegration:
             "output": {"publish": True},
         })
 
-    def test_threads_run_produces_artifact_contract(self, tmp_path):
+    def test_threads_run_produces_artifact_contract(self, tmp_path, capsys):
         import json
 
         from repro.api import run
+        from repro.api.cli import main
 
         result = run(self._spec(), run_dir=tmp_path / "run")
         assert result.spec_path.exists()
@@ -455,6 +476,16 @@ class TestRunSpecIntegration:
             assert len(r["per_rank_unique"]) == 2
             assert "time_sampling" in r and "time_local_energy" in r
             assert r["variance"] >= 0
+        # Load balance: the median max/mean rows per rank, in report.json,
+        # the summary and `repro info`.
+        ratios = [max(r["per_rank_unique"]) / np.mean(r["per_rank_unique"])
+                  for r in iters]
+        report = json.loads(result.report_path.read_text())
+        assert report["rank_rows_imbalance"] == float(np.median(ratios))
+        assert "rank imbalance" in result.report.summary()
+        capsys.readouterr()
+        assert main(["info", str(result.run_dir)]) == 0
+        assert "balance" in capsys.readouterr().out
 
     def test_threads_resume_bit_identical(self, tmp_path):
         import json

@@ -9,7 +9,6 @@ from repro.core.sampler import BASTreeState
 from repro.parallel import (
     CommVolumeModel,
     DataParallelVMC,
-    balanced_weight_partition,
     run_spmd,
     split_tree_state,
 )
@@ -71,6 +70,28 @@ class TestFakeMPI:
         assert results[0] == 5.0
 
 
+def _tree_state(weights, session=None):
+    p = len(weights)
+    return BASTreeState(
+        prefixes=np.arange(2 * p).reshape(p, 2),
+        weights=np.asarray(weights, dtype=np.int64),
+        counts_up=np.arange(p),
+        counts_dn=np.arange(p),
+        step=2,
+        session=session,
+    )
+
+
+class _RowSession:
+    """Stand-in inference session: one row id per layer-k node."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def select(self, idx):
+        return _RowSession(self.rows[idx])
+
+
 class TestPartition:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -78,36 +99,49 @@ class TestPartition:
         st.integers(1, 8),
     )
     def test_partition_properties(self, weights, n_parts):
-        parts = balanced_weight_partition(np.array(weights), n_parts)
+        state = _tree_state(weights)
+        parts = split_tree_state(state, n_parts)
         assert len(parts) == n_parts
-        flat = np.concatenate(parts)
-        np.testing.assert_array_equal(flat, np.arange(len(weights)))  # coverage+order
+        # coverage + order
+        flat = np.concatenate([p.prefixes for p in parts])
+        np.testing.assert_array_equal(flat, state.prefixes)
+        assert sum(p.weights.sum() for p in parts) == state.weights.sum()
+        sizes = [len(p.weights) for p in parts]
+        assert max(sizes) - min(sizes) <= 1
         if len(weights) >= n_parts:
-            assert all(len(p) > 0 for p in parts)
+            assert all(size > 0 for size in sizes)
 
     def test_balance_quality_uniform(self):
-        weights = np.ones(1000)
-        parts = balanced_weight_partition(weights, 8)
-        sizes = [w.sum() for w in (weights[p] for p in parts)]
-        assert max(sizes) - min(sizes) <= 2
+        parts = split_tree_state(_tree_state(np.ones(1000)), 8)
+        sizes = [p.weights.sum() for p in parts]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_split_tree_state(self):
-        state = BASTreeState(
-            prefixes=np.arange(12).reshape(6, 2),
-            weights=np.array([5, 1, 1, 1, 1, 5], dtype=np.int64),
-            counts_up=np.arange(6),
-            counts_dn=np.arange(6),
-            step=2,
-        )
+        state = _tree_state([5, 1, 1, 1, 1, 5])
         parts = split_tree_state(state, 3)
         assert sum(p.weights.sum() for p in parts) == state.weights.sum()
         assert all(p.step == 2 for p in parts)
         total_prefix = np.concatenate([p.prefixes for p in parts])
         np.testing.assert_array_equal(total_prefix, state.prefixes)
 
+    @pytest.mark.parametrize("n_parts", [2, 3, 4])
+    def test_dominant_node_splits_by_count(self, n_parts):
+        """A node holding most of the weight is one node, not a whole part."""
+        weights = np.ones(11, dtype=np.int64)
+        weights[0] = 1000  # > 1/N_p of the total for every N_p here
+        state = _tree_state(weights, session=_RowSession(np.arange(11)))
+        parts = split_tree_state(state, n_parts)
+        lo, hi = 11 // n_parts, -(-11 // n_parts)
+        assert all(lo <= len(p.weights) <= hi for p in parts)
+        # The session's cache rows follow the prefixes into each part.
+        for p in parts:
+            np.testing.assert_array_equal(
+                state.prefixes[p.session.rows], p.prefixes)
+
     def test_empty_weights(self):
-        parts = balanced_weight_partition(np.array([]), 3)
-        assert all(len(p) == 0 for p in parts)
+        parts = split_tree_state(_tree_state([]), 3)
+        assert len(parts) == 3
+        assert all(len(p.weights) == 0 for p in parts)
 
 
 class TestCommModel:

@@ -157,8 +157,10 @@ class TestTrainReportSerialization:
             "energy", "best_energy", "iterations", "wall_time",
             "stopped_early", "extrapolated_energy", "v_score",
             "error_vs_reference", "correlation_fraction",
-            "comm_bytes_logical", "comm_bytes_wire",
+            "comm_bytes_logical", "comm_bytes_wire", "rank_rows_imbalance",
         }
-        # Serial training: no communicating iterations, so no comm volume.
+        # Serial training: no communicating iterations, so no comm volume
+        # and no per-rank balance.
         assert data["comm_bytes_logical"] is None
         assert data["comm_bytes_wire"] is None
+        assert data["rank_rows_imbalance"] is None
